@@ -460,12 +460,12 @@ func BenchmarkStochGeom(b *testing.B) {
 	})
 }
 
-// BenchmarkSharedScanner measures concurrent covering-set queries on
-// the read-mostly shared scanner: every benchmark goroutine reads the
-// same starlink SharedScanner through its immutable snapshot, with no
-// per-reader memo state. The allocs/op column is gated to zero by
-// ci.sh — the snapshot indirection must not reintroduce allocation on
-// the query path.
+// BenchmarkSharedScanner measures concurrent queries on the read-mostly
+// shared scanner: every benchmark goroutine reads the same starlink
+// SharedScanner through its immutable snapshot. /append is the
+// covering-set query, /count the CoverageCount that /v1/coverage serves.
+// The allocs/op column of both is gated to zero by ci.sh — the snapshot
+// indirection must not reintroduce allocation on the query path.
 func BenchmarkSharedScanner(b *testing.B) {
 	cfg, err := constellation.PresetConfig(constellation.PresetStarlink)
 	if err != nil {
@@ -477,17 +477,32 @@ func BenchmarkSharedScanner(b *testing.B) {
 	}
 	s := constellation.NewSharedScanner(c)
 	target := orbit.LatLon{Lat: 30 * math.Pi / 180, Lon: 0.4}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]constellation.SatRef, 0, cfg.Planes*cfg.ActivePerPlane)
-		i := 0
-		for pb.Next() {
-			dst = s.AppendCovering(dst[:0], target, float64(i)*0.05)
-			if len(dst) > cfg.Planes*cfg.ActivePerPlane {
-				b.Fatal("covering set larger than the fleet")
+	fleet := cfg.Planes * cfg.ActivePerPlane
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			dst := make([]constellation.SatRef, 0, fleet)
+			i := 0
+			for pb.Next() {
+				dst = s.AppendCovering(dst[:0], target, float64(i)*0.05)
+				if len(dst) > fleet {
+					b.Fatal("covering set larger than the fleet")
+				}
+				i++
 			}
-			i++
-		}
+		})
+	})
+	b.Run("count", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if s.CoverageCount(target, float64(i)*0.05) > fleet {
+					b.Fatal("coverage count larger than the fleet")
+				}
+				i++
+			}
+		})
 	})
 }
 

@@ -76,8 +76,8 @@ if go run ./cmd/goldencheck -only fig9 -perturb 0.05; then
 fi
 
 # Allocation gate: the steady-state episode hot path, the SoA coverage
-# scan, and the shared read-mostly scanner's concurrent query path all
-# have a committed budget of 0 allocs/op (BENCH_PR5.json /
+# scan, and the shared read-mostly scanner's concurrent covering-set and
+# count queries all have a committed budget of 0 allocs/op (BENCH_PR5.json /
 # BENCH_PR6.json / BENCH_PR10.json). A single fixed-count bench run is
 # timing-noisy but its allocation counts are exact, so gate on
 # allocs/op only; ns/op trends live in the committed BENCH_*.json
@@ -88,14 +88,14 @@ go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkCoverageScan$|^Be
     tee "$tmpdir/bench.txt"
 awk -v budget="$alloc_budget" '
     /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkCoverageScan\// ||
-    /^BenchmarkSharedScanner(-[0-9]+)?[ \t]/ {
+    /^BenchmarkSharedScanner\// {
         seen++
         allocs = $(NF - 1) + 0
         if (allocs > budget) {
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 10) { print "expected 10 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 11) { print "expected 11 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 go run ./cmd/benchdiff -require-overlap -max-alloc-regress 0 \
     BENCH_PR5.json BENCH_PR6.json

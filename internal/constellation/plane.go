@@ -3,7 +3,6 @@ package constellation
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"satqos/internal/orbit"
 )
@@ -30,12 +29,8 @@ type Plane struct {
 
 	// version counts geometry-visible state changes (capacity drops and
 	// restores, which re-phase the ring). Scanner caches per-plane
-	// recurrence state keyed by this counter. It is atomic so that
-	// SharedScanner readers can detect staleness race-free while a
-	// writer reconfigures the constellation; the other plane fields are
-	// still guarded by SharedScanner's update lock (or by the
-	// single-goroutine discipline of the plain Scanner).
-	version atomic.Uint64
+	// recurrence state keyed by this counter.
+	version uint64
 
 	// Counters for reporting.
 	failures        int
@@ -54,8 +49,8 @@ func newPlane(cfg Config, index int) *Plane {
 		frame:    orbit.NewFrame(cfg.InclinationDeg*math.Pi/180, raan),
 		active:   cfg.ActivePerPlane,
 		spares:   cfg.SparesPerPlane,
+		version:  1,
 	}
-	p.version.Store(1)
 	o := p.referenceOrbit(0)
 	fp, err := orbit.FootprintFromCoverageTime(o, cfg.CoverageTimeMin)
 	if err != nil {
@@ -77,12 +72,6 @@ func (p *Plane) RAAN() float64 { return p.raan }
 // Frame returns the plane's cached rotation frame (the in-plane basis of
 // orbit.Frame), computed once at construction.
 func (p *Plane) Frame() orbit.Frame { return p.frame }
-
-// Version returns a counter that advances whenever the plane's satellite
-// geometry changes (a capacity drop with re-phasing, or a restore).
-// Callers caching derived per-plane state — the fast coverage scanner —
-// use it to detect staleness without recomputing anything.
-func (p *Plane) Version() uint64 { return p.version.Load() }
 
 // ActiveCount returns k, the number of active operational satellites.
 func (p *Plane) ActiveCount() int { return p.active }
@@ -180,7 +169,7 @@ func (p *Plane) FailActive() error {
 	}
 	p.active--
 	p.phasingAdjusted++
-	p.version.Add(1)
+	p.version++
 	return nil
 }
 
@@ -192,7 +181,7 @@ func (p *Plane) RestoreFull() {
 		return
 	}
 	if p.active != p.cfg.ActivePerPlane {
-		p.version.Add(1)
+		p.version++
 	}
 	p.active = p.cfg.ActivePerPlane
 	p.spares = p.cfg.SparesPerPlane

@@ -1,6 +1,7 @@
 package constellation
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -41,6 +42,47 @@ func bruteCovering(c *Constellation, target orbit.LatLon, t float64) []SatRef {
 	return refs
 }
 
+// scanTrial is one coverage query: a target and a time (minutes).
+type scanTrial struct {
+	target orbit.LatLon
+	t      float64
+}
+
+// randomTrials draws n targets uniform in latitude and longitude, at
+// times spread over 3000 minutes.
+func randomTrials(rng *stats.RNG, n int) []scanTrial {
+	trials := make([]scanTrial, n)
+	for i := range trials {
+		trials[i] = scanTrial{
+			target: orbit.LatLon{
+				Lat: (rng.Float64() - 0.5) * math.Pi,
+				Lon: (rng.Float64() - 0.5) * 2 * math.Pi,
+			},
+			t: rng.Float64() * 3000,
+		}
+	}
+	return trials
+}
+
+// checkAgainstBrute holds one scan query's covering set and count to
+// the per-orbit reference path: same refs, same order, same count.
+func checkAgainstBrute(t *testing.T, label string, c *Constellation, tr scanTrial, got []SatRef, count int) {
+	t.Helper()
+	want := bruteCovering(c, tr.target, tr.t)
+	if len(got) != len(want) {
+		t.Errorf("%s: fast scan found %d covering, brute force %d", label, len(got), len(want))
+		return
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Errorf("%s: ref %d = %+v, want %+v", label, j, got[j], want[j])
+		}
+	}
+	if n := c.SimultaneousCoverageCount(tr.target, tr.t); count != n {
+		t.Errorf("%s: CoverageCount %d, want %d", label, count, n)
+	}
+}
+
 // TestScannerMatchesBruteForce: across every preset, random targets,
 // times, and degradation states, the fast scan's covering set equals the
 // per-orbit path's Covers bits exactly (same refs, same order), its
@@ -70,23 +112,10 @@ func TestScannerMatchesBruteForce(t *testing.T) {
 				p.RestoreFull()
 			}
 
-			type trial struct {
-				target orbit.LatLon
-				t      float64
-			}
-			trials := make([]trial, 64)
-			for i := range trials {
-				trials[i] = trial{
-					target: orbit.LatLon{
-						Lat: (rng.Float64() - 0.5) * math.Pi,
-						Lon: (rng.Float64() - 0.5) * 2 * math.Pi,
-					},
-					t: rng.Float64() * 3000,
-				}
-			}
+			trials := randomTrials(rng, 64)
 
-			// The scanner is single-goroutine state (band memo, plane
-			// caches), so workers draw private instances from a pool —
+			// The scanner is single-goroutine state (its plane caches),
+			// so workers draw private instances from a pool —
 			// the same shape the mission engine uses for its episode
 			// scratch.
 			pool := sync.Pool{New: func() any { return NewScanner(c) }}
@@ -94,32 +123,19 @@ func TestScannerMatchesBruteForce(t *testing.T) {
 				s := pool.Get().(*Scanner)
 				defer pool.Put(s)
 				tr := trials[i]
-				want := bruteCovering(c, tr.target, tr.t)
+				label := fmt.Sprintf("%s workers=%d trial %d", name, workers, i)
 				got := s.AppendCovering(nil, tr.target, tr.t)
-				if len(got) != len(want) {
-					t.Errorf("%s workers=%d trial %d: fast scan found %d covering, brute force %d",
-						name, workers, i, len(got), len(want))
-					return nil
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Errorf("%s workers=%d trial %d: ref %d = %+v, want %+v",
-							name, workers, i, j, got[j], want[j])
-					}
-					sep := s.Separation(got[j], tr.target, tr.t)
-					p, err := c.Plane(got[j].Plane)
+				checkAgainstBrute(t, label, c, tr, got, s.CoverageCount(tr.target, tr.t))
+				for _, ref := range got {
+					sep := s.Separation(ref, tr.target, tr.t)
+					p, err := c.Plane(ref.Plane)
 					if err != nil {
 						return err
 					}
-					ref := orbit.GreatCircle(p.ActiveOrbit(got[j].Index).SubSatellite(tr.t), tr.target)
-					if d := math.Abs(sep - ref); d > 1e-9 {
-						t.Errorf("%s workers=%d trial %d: separation %g vs per-orbit %g (off by %g)",
-							name, workers, i, sep, ref, d)
+					want := orbit.GreatCircle(p.ActiveOrbit(ref.Index).SubSatellite(tr.t), tr.target)
+					if d := math.Abs(sep - want); d > 1e-9 {
+						t.Errorf("%s: separation %g vs per-orbit %g (off by %g)", label, sep, want, d)
 					}
-				}
-				if n := s.CoverageCount(tr.target, tr.t); n != c.SimultaneousCoverageCount(tr.target, tr.t) {
-					t.Errorf("%s workers=%d trial %d: CoverageCount %d, want %d",
-						name, workers, i, n, c.SimultaneousCoverageCount(tr.target, tr.t))
 				}
 				return nil
 			})
@@ -145,16 +161,8 @@ func TestScannerTracksDegradation(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for _, tm := range []float64{0, 7.3, 41.9, 200.5} {
-			got := s.AppendCovering(nil, target, tm)
-			want := bruteCovering(c, target, tm)
-			if len(got) != len(want) {
-				t.Fatalf("%s t=%g: fast %d vs brute %d", stage, tm, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("%s t=%g: ref %d = %+v, want %+v", stage, tm, j, got[j], want[j])
-				}
-			}
+			checkAgainstBrute(t, fmt.Sprintf("%s t=%g", stage, tm), c, scanTrial{target, tm},
+				s.AppendCovering(nil, target, tm), s.CoverageCount(target, tm))
 		}
 	}
 

@@ -1,7 +1,6 @@
 package constellation
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -17,58 +16,23 @@ import (
 // snapshot (copy-on-reconfigure); readers switch to it on their next
 // query and never observe a half-updated plane.
 //
-// The covering sets it produces are identical to the plain Scanner's
-// for the same constellation state, in the same plane-major order.
-// Queries are allocation-free (CoverageCount always; AppendCovering
-// once dst has grown to the covering set's high-water mark). The one
-// cost versus Scanner is the latitude-band memo: a snapshot is shared
-// by many goroutines and therefore holds no per-query mutable state,
-// so the two band sines are recomputed per plane per query — a few
-// nanoseconds against the per-satellite recurrence loop.
+// Queries run the same scan loop as Scanner, so the covering sets are
+// identical for the same constellation state, in the same plane-major
+// order. They are allocation-free (CoverageCount always; AppendCovering
+// once dst has grown to the covering set's high-water mark).
 type SharedScanner struct {
-	c    *Constellation
-	mu   sync.Mutex
-	snap atomic.Pointer[sharedSnapshot]
-}
-
-// sharedSnapshot is an immutable view of every plane's scan state.
-// Once published via SharedScanner.snap it is never written again.
-type sharedSnapshot struct {
-	planes []planeScan
+	c      *Constellation
+	mu     sync.Mutex
+	planes atomic.Pointer[[]planeScan]
 }
 
 // NewSharedScanner builds a shared scanner over the constellation and
-// publishes the initial snapshot. The constellation must not be
-// mutated except through Update (or while no queries are running and
-// Refresh is called before the next one).
+// publishes the initial snapshot. From then on the constellation must
+// be mutated only through Update.
 func NewSharedScanner(c *Constellation) *SharedScanner {
 	s := &SharedScanner{c: c}
-	s.mu.Lock()
-	s.rebuild()
-	s.mu.Unlock()
+	s.Update(func(*Constellation) {})
 	return s
-}
-
-// rebuild publishes a fresh snapshot from the live planes. Callers
-// hold s.mu.
-func (s *SharedScanner) rebuild() {
-	snap := &sharedSnapshot{planes: make([]planeScan, len(s.c.planes))}
-	for i, p := range s.c.planes {
-		ps := &snap.planes[i]
-		ps.version = p.version.Load()
-		ps.k = p.active
-		ps.frame = p.frame
-		ps.phaseRef = p.phaseRef
-		ps.n = 2 * math.Pi / p.cfg.PeriodMin
-		ps.half = p.fp.HalfAngle
-		ps.cosHalf = math.Cos(ps.half)
-		if p.active > 0 {
-			ps.sinD, ps.cosD = math.Sincos(2 * math.Pi / float64(p.active))
-		} else {
-			ps.sinD, ps.cosD = 0, 1
-		}
-	}
-	s.snap.Store(snap)
 }
 
 // Update applies a mutation to the underlying constellation — fail
@@ -80,34 +44,8 @@ func (s *SharedScanner) Update(mutate func(*Constellation)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mutate(s.c)
-	s.rebuild()
-}
-
-// Stale reports whether any plane has changed geometry (by its atomic
-// version counter) since the current snapshot was built — i.e. the
-// constellation was mutated outside Update. It is safe to call
-// concurrently with queries and updates.
-func (s *SharedScanner) Stale() bool {
-	snap := s.snap.Load()
-	for i := range snap.planes {
-		if snap.planes[i].version != s.c.planes[i].version.Load() {
-			return true
-		}
-	}
-	return false
-}
-
-// Refresh republishes the snapshot if it is stale. It exists for
-// callers that mutated the constellation out-of-band (e.g. legacy code
-// driving planes directly); code written against SharedScanner should
-// prefer Update.
-func (s *SharedScanner) Refresh() {
-	if !s.Stale() {
-		return
-	}
-	s.mu.Lock()
-	s.rebuild()
-	s.mu.Unlock()
+	planes := snapshot(s.c)
+	s.planes.Store(&planes)
 }
 
 // AppendCovering appends a reference to every active satellite whose
@@ -116,58 +54,13 @@ func (s *SharedScanner) Refresh() {
 // extended slice. Safe for concurrent use; reuse a per-goroutine
 // dst[:0] for allocation-free steady state.
 func (s *SharedScanner) AppendCovering(dst []SatRef, target orbit.LatLon, t float64) []SatRef {
-	snap := s.snap.Load()
-	u := target.UnitECI(t)
-	for pi := range snap.planes {
-		ps := &snap.planes[pi]
-		k := ps.k
-		if k == 0 {
-			continue
-		}
-		zLo, zHi := latBand(target.Lat, ps.half)
-		sin, cos := math.Sincos(ps.phaseRef + ps.n*t)
-		px, py := ps.frame.P.X, ps.frame.P.Y
-		qx, qy, qz := ps.frame.Q.X, ps.frame.Q.Y, ps.frame.Q.Z
-		for i := 0; i < k; i++ {
-			if z := qz * sin; z >= zLo && z <= zHi {
-				x := px*cos + qx*sin
-				y := py*cos + qy*sin
-				if x*u.X+y*u.Y+z*u.Z >= ps.cosHalf {
-					dst = append(dst, SatRef{Plane: pi, Index: i})
-				}
-			}
-			cos, sin = cos*ps.cosD-sin*ps.sinD, sin*ps.cosD+cos*ps.sinD
-		}
-	}
+	dst, _ = scan(*s.planes.Load(), dst, true, target, t)
 	return dst
 }
 
 // CoverageCount returns how many active satellites cover the target at
 // time t. Safe for concurrent use; performs no allocations.
 func (s *SharedScanner) CoverageCount(target orbit.LatLon, t float64) int {
-	snap := s.snap.Load()
-	n := 0
-	u := target.UnitECI(t)
-	for pi := range snap.planes {
-		ps := &snap.planes[pi]
-		k := ps.k
-		if k == 0 {
-			continue
-		}
-		zLo, zHi := latBand(target.Lat, ps.half)
-		sin, cos := math.Sincos(ps.phaseRef + ps.n*t)
-		px, py := ps.frame.P.X, ps.frame.P.Y
-		qx, qy, qz := ps.frame.Q.X, ps.frame.Q.Y, ps.frame.Q.Z
-		for i := 0; i < k; i++ {
-			if z := qz * sin; z >= zLo && z <= zHi {
-				x := px*cos + qx*sin
-				y := py*cos + qy*sin
-				if x*u.X+y*u.Y+z*u.Z >= ps.cosHalf {
-					n++
-				}
-			}
-			cos, sin = cos*ps.cosD-sin*ps.sinD, sin*ps.cosD+cos*ps.sinD
-		}
-	}
+	_, n := scan(*s.planes.Load(), nil, false, target, t)
 	return n
 }

@@ -1,20 +1,36 @@
 package constellation
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"satqos/internal/orbit"
+	"satqos/internal/stats"
 )
 
 const deg = math.Pi / 180
 
-// SharedScanner must agree exactly with the plain Scanner on every
-// preset, at full strength and after degradation applied through
-// Update.
-func TestSharedScannerMatchesScanner(t *testing.T) {
-	target := orbit.LatLon{Lat: 30 * deg, Lon: 0.4}
+// sharedTrials is TestScannerMatchesBruteForce's seeded random targets
+// plus the band edges: both poles and the latitudes ±(90° − ψ), where
+// the latitude band's upper or lower bound reaches the pole.
+func sharedTrials(c *Constellation) []scanTrial {
+	trials := randomTrials(stats.NewRNG(0x5ca27e5, 1), 64)
+	p, _ := c.Plane(0)
+	edge := math.Pi/2 - p.Footprint().HalfAngle
+	for _, lat := range []float64{math.Pi / 2, -math.Pi / 2, edge, -edge} {
+		for _, tm := range []float64{0, 13.7, 55.25, 101.9} {
+			trials = append(trials, scanTrial{orbit.LatLon{Lat: lat, Lon: 0.4}, tm})
+		}
+	}
+	return trials
+}
+
+// TestSharedScannerMatchesBruteForce: SharedScanner agrees exactly with
+// the per-orbit reference path on every preset, at full strength and
+// after degradation and restore applied through Update.
+func TestSharedScannerMatchesBruteForce(t *testing.T) {
 	for _, name := range PresetNames() {
 		cfg, err := PresetConfig(name)
 		if err != nil {
@@ -24,107 +40,44 @@ func TestSharedScannerMatchesScanner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		shared := NewSharedScanner(c)
-		plain := NewScanner(ref)
+		trials := sharedTrials(c)
 
 		check := func(stage string) {
 			t.Helper()
-			var got, want []SatRef
-			for _, tm := range []float64{0, 13.7, 55.25, 101.9} {
-				got = shared.AppendCovering(got[:0], target, tm)
-				want = plain.AppendCovering(want[:0], target, tm)
-				if len(got) != len(want) {
-					t.Fatalf("%s %s t=%g: %d covering, want %d", name, stage, tm, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s %s t=%g: sat %d = %+v, want %+v", name, stage, tm, i, got[i], want[i])
-					}
-				}
-				if n := shared.CoverageCount(target, tm); n != len(want) {
-					t.Fatalf("%s %s t=%g: CoverageCount %d, want %d", name, stage, tm, n, len(want))
-				}
+			var got []SatRef
+			for i, tr := range trials {
+				got = shared.AppendCovering(got[:0], tr.target, tr.t)
+				checkAgainstBrute(t, fmt.Sprintf("%s %s trial %d", name, stage, i), c, tr,
+					got, shared.CoverageCount(tr.target, tr.t))
 			}
 		}
 		check("full")
 
-		// Degrade plane 0 past its spares through Update; mirror on the
-		// reference constellation.
-		fails := cfg.SparesPerPlane + 2
+		// Degrade plane 0 past its spares through Update.
 		shared.Update(func(c *Constellation) {
 			p, err := c.Plane(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < fails; i++ {
+			for i := 0; i < cfg.SparesPerPlane+2; i++ {
 				if err := p.FailActive(); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
-		p, err := ref.Plane(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < fails; i++ {
-			if err := p.FailActive(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		check("degraded")
 
 		shared.Update(func(c *Constellation) { c.DeployScheduled() })
-		ref.DeployScheduled()
 		check("restored")
-	}
-}
-
-// Out-of-band mutation is visible through Stale and repaired by
-// Refresh.
-func TestSharedScannerStaleness(t *testing.T) {
-	cfg, err := PresetConfig("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSharedScanner(c)
-	if s.Stale() {
-		t.Fatal("fresh scanner reports stale")
-	}
-	p, err := c.Plane(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i <= cfg.SparesPerPlane; i++ { // exhaust spares, then re-phase
-		if err := p.FailActive(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !s.Stale() {
-		t.Fatal("re-phased plane not reported stale")
-	}
-	s.Refresh()
-	if s.Stale() {
-		t.Fatal("still stale after Refresh")
-	}
-	got := s.CoverageCount(orbit.LatLon{Lat: 30 * deg, Lon: 0.4}, 7.5)
-	want := NewScanner(c).CoverageCount(orbit.LatLon{Lat: 30 * deg, Lon: 0.4}, 7.5)
-	if got != want {
-		t.Fatalf("post-refresh count %d, want %d", got, want)
 	}
 }
 
 // Concurrent readers race a writer that fails and restores planes
 // through Update. Run under -race this is the memory-safety gate; the
 // invariant checked is that every count a reader observes matches one
-// of the constellation states the writer publishes.
+// of the constellation states the writer publishes, and that the
+// snapshot after the last Update matches the brute-force path.
 func TestSharedScannerConcurrent(t *testing.T) {
 	cfg, err := PresetConfig("kepler")
 	if err != nil {
@@ -145,7 +98,7 @@ func TestSharedScannerConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFull := NewScanner(full).CoverageCount(target, tm)
+	wantFull := full.SimultaneousCoverageCount(target, tm)
 	degr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +112,7 @@ func TestSharedScannerConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantDegraded := NewScanner(degr).CoverageCount(target, tm)
+	wantDegraded := degr.SimultaneousCoverageCount(target, tm)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -217,7 +170,6 @@ func TestSharedScannerConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if s.Stale() {
-		t.Fatal("scanner stale after final Update")
-	}
+	tr := scanTrial{target, tm}
+	checkAgainstBrute(t, "after final Update", c, tr, s.AppendCovering(nil, target, tm), s.CoverageCount(target, tm))
 }

@@ -343,17 +343,12 @@ func (q *eventQueue) Pop() any {
 }
 
 func (q eventQueue) peek() *Event {
-	// The heap may have canceled events at the top; they are skipped by
-	// Step, but for horizon checks we need the first live event.
-	// Canceled events are removed eagerly by Cancel, so the top is live
-	// except in the narrow case of cancellation during Pop; guard anyway.
-	for len(q) > 0 {
-		if !q[0].canceled {
-			return q[0]
-		}
-		return q[0] // canceled-at-top is skipped by Step; time is still a bound
+	// A canceled event at the top is skipped by Step; its time is still
+	// a lower bound for horizon checks.
+	if len(q) == 0 {
+		return nil
 	}
-	return nil
+	return q[0]
 }
 
 // Ticker schedules handler every period units of time, starting after the

@@ -97,14 +97,6 @@ func TestEvaluatePairedParallelWorkerCountInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sequential convenience wrapper IS the workers=1 engine.
-	viaPaired, err := EvaluatePaired(a, b, episodes, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, viaPaired) {
-		t.Error("EvaluatePaired diverges from EvaluatePairedParallel(workers=1)")
-	}
 	for _, workers := range []int{2, 4, 8} {
 		got, err := EvaluatePairedParallel(a, b, episodes, 3, workers)
 		if err != nil {

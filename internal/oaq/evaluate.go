@@ -119,32 +119,23 @@ func (t *tally) evaluation(episodes int) *Evaluation {
 
 // Evaluate runs the protocol for the given number of episodes and
 // aggregates the outcomes, drawing every episode sequentially from the
-// caller's RNG. Use EvaluateParallel for the sharded engine, which
-// parallelizes without changing the result.
+// caller's RNG through one Runner. Use EvaluateParallel for the sharded
+// engine, which parallelizes without changing the result.
 func Evaluate(p Params, episodes int, rng *stats.RNG) (*Evaluation, error) {
 	if episodes <= 0 {
 		return nil, fmt.Errorf("oaq: episode count %d must be positive", episodes)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("oaq: RNG is required")
-	}
-	r, err := newEpisodeRunner(p, rng)
+	r, err := NewRunner(p, rng)
 	if err != nil {
 		return nil, err
 	}
-	detach := r.attachShardTracer(p.Tracing, 0)
-	m := maybeShardMetrics(p.Metrics)
-	r.setMetrics(m)
 	var t tally
 	for i := 0; i < episodes; i++ {
-		res := r.run()
+		res := r.Run()
 		t.add(&res)
 	}
-	detach()
-	m.publish(p.Metrics)
+	r.FlushTraces()
+	r.PublishMetrics()
 	return t.evaluation(episodes), nil
 }
 

@@ -1,9 +1,6 @@
 package oaq
 
-import (
-	"satqos/internal/obs/trace"
-	"satqos/internal/stats"
-)
+import "satqos/internal/obs/trace"
 
 // This file is the span-tracing glue of the episode engine (the
 // fmt-based event timeline of trace.go is a separate, older facility).
@@ -90,34 +87,4 @@ func (r *episodeRunner) attachShardTracer(cfg *trace.Config, ordBase uint64) fun
 		rec.Flush()
 		r.setTracer(nil)
 	}
-}
-
-// RunEpisodeTracedSpans runs one episode with span tracing forced on
-// (head sampling every episode) and returns its outcome together with
-// the retained trace. It is the convenience the trace CLI builds on; the
-// hot paths use Params.Tracing directly.
-func RunEpisodeTracedSpans(p Params, rng *stats.RNG) (EpisodeResult, trace.EpisodeTrace, error) {
-	col := trace.NewCollector()
-	cfg := trace.Config{SampleEvery: 1, Collector: col}
-	if p.Tracing != nil {
-		cfg = *p.Tracing
-		cfg.SampleEvery = 1
-		cfg.Collector = col
-	}
-	p.Tracing = &cfg
-	r, err := newEpisodeRunner(p, rng)
-	if err != nil {
-		return EpisodeResult{}, trace.EpisodeTrace{}, err
-	}
-	detach := r.attachShardTracer(&cfg, 0)
-	m := maybeShardMetrics(p.Metrics)
-	r.setMetrics(m)
-	res := r.run()
-	m.publish(p.Metrics)
-	detach()
-	traces := col.Traces()
-	if len(traces) == 0 {
-		return res, trace.EpisodeTrace{}, nil
-	}
-	return res, traces[0], nil
 }

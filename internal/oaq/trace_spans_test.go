@@ -113,17 +113,22 @@ func TestTracingSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestRunEpisodeTracedSpans: the convenience wrapper returns the
-// episode's own retained trace with a root span enclosing every other
-// span.
+// TestRunEpisodeTracedSpans: RunEpisode under a sample-every-episode
+// tracing config retains the episode's own trace, with a root span
+// enclosing every other span.
 func TestRunEpisodeTracedSpans(t *testing.T) {
-	res, tr, err := RunEpisodeTracedSpans(ReferenceParams(10, qos.SchemeOAQ), stats.NewRNG(7, 0))
+	p := ReferenceParams(10, qos.SchemeOAQ)
+	col := trace.NewCollector()
+	p.Tracing = &trace.Config{SampleEvery: 1, Collector: col}
+	res, err := RunEpisode(p, stats.NewRNG(7, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Spans) == 0 {
-		t.Fatal("no spans retained")
+	traces := col.Traces()
+	if len(traces) != 1 || len(traces[0].Spans) == 0 {
+		t.Fatalf("retained %d traces, want one with spans", len(traces))
 	}
+	tr := traces[0]
 	root := tr.Spans[0]
 	if root.Kind != trace.KindEpisode || root.Parent != -1 {
 		t.Fatalf("first span is not the episode root: %+v", root)

@@ -202,9 +202,5 @@ func (v *Visibility) CapacityDistribution(eta, n int) (*capacity.Distribution, e
 	if eta < 1 || n < eta {
 		return nil, fmt.Errorf("stochgeom: capacity support [%d, %d] invalid (need 1 ≤ eta ≤ n)", eta, n)
 	}
-	probs := make(map[int]float64, len(v.PMF))
-	for k, p := range v.PMF {
-		probs[k] = p
-	}
-	return capacity.NewClampedDistribution(eta, n, probs)
+	return capacity.NewClampedDistribution(eta, n, v.PMF)
 }

@@ -350,3 +350,38 @@ func TestFromPreset(t *testing.T) {
 		t.Error("empty design: want error")
 	}
 }
+
+// TestCapacityDistributionFoldDeterministic: folding the out-of-support
+// tails of a Starlink visible-count PMF onto [eta, n] gives the same
+// distribution bit for bit on every build, whatever the map iteration
+// order.
+func TestCapacityDistributionFoldDeterministic(t *testing.T) {
+	d, err := FromPreset(constellation.PresetStarlink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := d.Evaluate(53 * math.Pi / 180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := int(v.Mean())
+	eta, n := m-3, m+3
+	if v.CCDF(0)-v.CCDF(eta) <= 0 || v.CCDF(n+1) <= 0 {
+		t.Fatalf("PMF has no mass on both sides of [%d, %d]", eta, n)
+	}
+	ref, err := v.CapacityDistribution(eta, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for build := 1; build < 100; build++ {
+		dist, err := v.CapacityDistribution(eta, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := eta; k <= n; k++ {
+			if math.Float64bits(dist.P(k)) != math.Float64bits(ref.P(k)) {
+				t.Fatalf("build %d: P(%d) = %v, first build %v", build, k, dist.P(k), ref.P(k))
+			}
+		}
+	}
+}
