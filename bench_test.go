@@ -19,6 +19,7 @@ import (
 	"satqos"
 	"satqos/internal/capacity"
 	"satqos/internal/constellation"
+	"satqos/internal/des"
 	"satqos/internal/experiment"
 	"satqos/internal/mission"
 	"satqos/internal/oaq"
@@ -238,6 +239,47 @@ func BenchmarkMission(b *testing.B) {
 		if rep.Episodes > 0 && rep.DetectedFraction < 0.9 {
 			b.Fatal("mission detection broken")
 		}
+	}
+}
+
+// desHold is the hold model of event-queue benchmarks: every fired
+// event schedules one successor at an exponential delay, so the pending
+// depth stays fixed.
+type desHold struct {
+	sim *des.Simulation
+	rng *stats.RNG
+}
+
+func desHoldEvent(_ float64, arg any) {
+	h := arg.(*desHold)
+	h.sim.ScheduleCall(h.rng.Exp(1), "hold", desHoldEvent, h)
+}
+
+// BenchmarkDESKernel measures one fired event (a pop plus the push of
+// its successor) at fixed pending depths: an ideal-channel episode's
+// ~10, a routed episode's ~300, and ten times that. The freelist is on,
+// as in the episode engine; ci.sh gates the allocs/op column to zero.
+func BenchmarkDESKernel(b *testing.B) {
+	for _, depth := range []int{10, 300, 3000} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			h := &desHold{sim: &des.Simulation{}, rng: stats.NewRNG(uint64(depth), 0)}
+			h.sim.EnableEventReuse()
+			for i := 0; i < depth; i++ {
+				h.sim.ScheduleCall(h.rng.Exp(1), "hold", desHoldEvent, h)
+			}
+			for i := 0; i < 10*depth; i++ { // warm the freelist
+				h.sim.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.sim.Step()
+			}
+			b.StopTimer()
+			if got := h.sim.Pending(); got != depth {
+				b.Fatalf("hold model drifted to depth %d, want %d", got, depth)
+			}
+		})
 	}
 }
 

@@ -75,27 +75,28 @@ if go run ./cmd/goldencheck -only fig9 -perturb 0.05; then
     exit 1
 fi
 
-# Allocation gate: the steady-state episode hot path, the SoA coverage
-# scan, and the shared read-mostly scanner's concurrent covering-set and
-# count queries all have a committed budget of 0 allocs/op (BENCH_PR5.json /
+# Allocation gate: the steady-state episode hot path, the DES kernel's
+# hold model at depths 10/300/3000, the SoA coverage scan, and the
+# shared read-mostly scanner's concurrent covering-set and count queries
+# all have a committed budget of 0 allocs/op (BENCH_PR5.json /
 # BENCH_PR6.json / BENCH_PR10.json). A single fixed-count bench run is
 # timing-noisy but its allocation counts are exact, so gate on
 # allocs/op only; ns/op trends live in the committed BENCH_*.json
 # records, which benchdiff cross-checks across PRs.
 alloc_budget=0
-go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkCoverageScan$|^BenchmarkSharedScanner$' \
+go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkDESKernel$|^BenchmarkCoverageScan$|^BenchmarkSharedScanner$' \
     -benchmem -benchtime 200x . |
     tee "$tmpdir/bench.txt"
 awk -v budget="$alloc_budget" '
-    /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkCoverageScan\// ||
-    /^BenchmarkSharedScanner\// {
+    /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkDESKernel\// ||
+    /^BenchmarkCoverageScan\// || /^BenchmarkSharedScanner\// {
         seen++
         allocs = $(NF - 1) + 0
         if (allocs > budget) {
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 11) { print "expected 11 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 14) { print "expected 14 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 go run ./cmd/benchdiff -require-overlap -max-alloc-regress 0 \
     BENCH_PR5.json BENCH_PR6.json

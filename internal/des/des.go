@@ -9,7 +9,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -31,8 +30,7 @@ type ArgHandler func(now float64, arg any)
 // Simulation.Schedule and may be canceled before they fire.
 type Event struct {
 	time     float64
-	seq      uint64
-	index    int // heap index, -1 once removed
+	index    int // heap slot, -1 once fired, canceled or reset away
 	canceled bool
 	handler  Handler
 	argFn    ArgHandler
@@ -101,15 +99,17 @@ func (s *Simulation) Stats() Stats {
 // reallocating. Any *Event previously returned by Schedule is invalid
 // after a Reset.
 func (s *Simulation) Reset() {
-	for i, e := range s.queue {
+	for _, en := range s.queue {
+		e := en.ev
+		e.index = -1
 		if s.reuse {
 			e.handler = nil
 			e.argFn = nil
 			e.arg = nil
 			s.free = append(s.free, e)
 		}
-		s.queue[i] = nil
 	}
+	clear(s.queue)
 	s.queue = s.queue[:0]
 	s.now = 0
 	s.seq = 0
@@ -153,16 +153,9 @@ func (s *Simulation) Now() float64 { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Simulation) Fired() uint64 { return s.fired }
 
-// Pending returns the number of scheduled, non-canceled events.
-func (s *Simulation) Pending() int {
-	n := 0
-	for _, e := range s.queue {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
+// Pending returns the number of scheduled, non-canceled events. Cancel
+// removes an event from the queue at once, so that is the queue length.
+func (s *Simulation) Pending() int { return len(s.queue) }
 
 // Schedule registers handler to run after delay units of simulation time.
 // The label is for diagnostics. Scheduling into the past is a programming
@@ -201,18 +194,26 @@ func (s *Simulation) schedule(delay float64, label string, handler Handler, argF
 		panic(fmt.Sprintf("des: Schedule(%q) with negative or NaN delay %g", label, delay))
 	}
 	s.seq++
+	t := s.now + delay
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*e = Event{time: s.now + delay, seq: s.seq, handler: handler, argFn: argFn, arg: arg, label: label}
+		// Field by field: assigning a whole Event literal would build
+		// and block-copy the full struct on every recycled schedule.
+		e.time = t
+		e.canceled = false
+		e.handler = handler
+		e.argFn = argFn
+		e.arg = arg
+		e.label = label
 		s.freeHits++
 	} else {
-		e = &Event{time: s.now + delay, seq: s.seq, handler: handler, argFn: argFn, arg: arg, label: label}
+		e = &Event{time: t, handler: handler, argFn: argFn, arg: arg, label: label}
 		s.freeMisses++
 	}
-	heap.Push(&s.queue, e)
+	s.queue.push(entry{time: t, seq: s.seq, ev: e})
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
@@ -230,14 +231,13 @@ func (s *Simulation) ScheduleAt(t float64, label string, handler Handler) *Event
 // Cancel removes the event from the pending set; a canceled event never
 // fires. Canceling an already-fired or already-canceled event is a no-op.
 func (s *Simulation) Cancel(e *Event) {
-	if e == nil || e.canceled || e.index < 0 {
-		if e != nil {
-			e.canceled = true
-		}
+	if e == nil {
 		return
 	}
+	if e.index >= 0 {
+		s.queue.remove(e.index)
+	}
 	e.canceled = true
-	heap.Remove(&s.queue, e.index)
 }
 
 // Halt stops the run loop after the current event completes. It is the
@@ -247,37 +247,34 @@ func (s *Simulation) Halt() { s.halted = true }
 // Step fires the next pending event, advancing the clock, and reports
 // whether an event was fired.
 func (s *Simulation) Step() bool {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.canceled {
-			continue
-		}
-		s.now = e.time
-		s.fired++
-		if s.tracer != nil {
-			sp := s.tracer.Begin(trace.KindDispatch, e.label, trace.SatKernel, s.now)
-			if e.handler != nil {
-				e.handler(s.now)
-			} else {
-				e.argFn(s.now, e.arg)
-			}
-			s.tracer.End(sp, s.now)
-		} else if e.handler != nil {
+	if len(s.queue) == 0 {
+		return false
+	}
+	e := s.queue.pop()
+	s.now = e.time
+	s.fired++
+	if s.tracer != nil {
+		sp := s.tracer.Begin(trace.KindDispatch, e.label, trace.SatKernel, s.now)
+		if e.handler != nil {
 			e.handler(s.now)
 		} else {
 			e.argFn(s.now, e.arg)
 		}
-		if s.reuse {
-			// Recycled after the handler so a handler scheduling new
-			// events cannot be handed its own in-flight event.
-			e.handler = nil
-			e.argFn = nil
-			e.arg = nil
-			s.free = append(s.free, e)
-		}
-		return true
+		s.tracer.End(sp, s.now)
+	} else if e.handler != nil {
+		e.handler(s.now)
+	} else {
+		e.argFn(s.now, e.arg)
 	}
-	return false
+	if s.reuse {
+		// Recycled after the handler so a handler scheduling new
+		// events cannot be handed its own in-flight event.
+		e.handler = nil
+		e.argFn = nil
+		e.arg = nil
+		s.free = append(s.free, e)
+	}
+	return true
 }
 
 // Run fires events until the queue drains, Halt is called, or the clock
@@ -289,15 +286,8 @@ func (s *Simulation) Run(horizon float64) uint64 {
 	}
 	s.halted = false
 	start := s.fired
-	for !s.halted {
-		// Peek: do not fire events beyond the horizon.
-		top := s.queue.peek()
-		if top == nil {
-			break
-		}
-		if top.time > horizon {
-			break
-		}
+	// Events strictly after the horizon stay pending.
+	for !s.halted && len(s.queue) > 0 && s.queue[0].time <= horizon {
 		s.Step()
 	}
 	// A run always leaves the clock at the horizon (unless halted early)
@@ -308,47 +298,95 @@ func (s *Simulation) Run(horizon float64) uint64 {
 	return s.fired - start
 }
 
-// eventQueue is a binary min-heap ordered by (time, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
+// entry is one heap slot. The ordering key is stored inline so sifting
+// compares slots without dereferencing their events.
+type entry struct {
+	time float64
+	seq  uint64
+	ev   *Event
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// before is the queue order: by time, ties in scheduling order. Every
+// seq is distinct, so this is a strict total order.
+func (a *entry) before(b *entry) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+// eventQueue is a 4-ary min-heap ordered by (time, seq): the children
+// of slot i are 4i+1 … 4i+4. Each event's index tracks its slot, which
+// Cancel uses to remove it in O(log n).
+type eventQueue []entry
+
+func (q *eventQueue) push(en entry) {
+	*q = append(*q, en)
+	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
+// pop removes and returns the earliest event; the queue must be
+// non-empty.
+func (q *eventQueue) pop() *Event {
+	e := (*q)[0].ev
+	q.remove(0)
 	return e
 }
 
-func (q eventQueue) peek() *Event {
-	// A canceled event at the top is skipped by Step; its time is still
-	// a lower bound for horizon checks.
-	if len(q) == 0 {
-		return nil
+// remove deletes the event in slot i.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	h[i].ev.index = -1
+	n := len(h) - 1
+	if i != n {
+		h[i] = h[n]
 	}
-	return q[0]
+	h[n] = entry{}
+	*q = h[:n]
+	if i != n && !q.down(i) {
+		q.up(i)
+	}
+}
+
+// up sifts slot i toward the root.
+func (q eventQueue) up(i int) {
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = x
+	x.ev.index = i
+}
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (q eventQueue) down(i0 int) bool {
+	n := len(q)
+	x := q[i0]
+	i := i0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = x
+	x.ev.index = i
+	return i > i0
 }
 
 // Ticker schedules handler every period units of time, starting after the

@@ -41,6 +41,18 @@ func DebugMux(r *Registry) *http.ServeMux {
 // connections are hard-closed.
 const debugShutdownTimeout = 5 * time.Second
 
+// Connection bounds of the server ServeHandler starts: a client must
+// finish its request header within serveReadHeaderTimeout, so a
+// slow-drip header cannot hold a connection open, and a keep-alive
+// connection idle for serveIdleTimeout is closed. Request bodies and
+// responses are not bounded in time: a pprof profile legitimately
+// streams for as long as its seconds parameter asks. Variables only so
+// tests can shorten them.
+var (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // ServeHandler starts an HTTP server for handler on addr (":0" picks an
 // ephemeral port) and returns the bound address plus a stop function.
 //
@@ -56,7 +68,11 @@ func ServeHandler(addr string, handler http.Handler) (bound string, stop func() 
 	if err != nil {
 		return "", nil, fmt.Errorf("debug listen: %w", err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	var once sync.Once

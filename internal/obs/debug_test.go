@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -139,6 +142,33 @@ func TestServeHandlerDrainsInflightScrape(t *testing.T) {
 	// Stop is idempotent: a second call reports the settled result.
 	if err := stop(); err != nil {
 		t.Fatalf("second stop: %v", err)
+	}
+}
+
+// TestServeHandlerDropsStalledHeader: a client that starts a request
+// header and never finishes it is disconnected once the read-header
+// timeout passes, instead of holding the connection open.
+func TestServeHandlerDropsStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { serveReadHeaderTimeout = d }(serveReadHeaderTimeout)
+	serveReadHeaderTimeout = 100 * time.Millisecond
+	bound, stop, err := ServeHandler("127.0.0.1:0", DebugMux(NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	conn, err := net.Dial("tcp", bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server still held the stalled connection after %v", time.Since(start))
 	}
 }
 

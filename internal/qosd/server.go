@@ -36,6 +36,11 @@ import (
 	"satqos/internal/qos"
 )
 
+// maxRequestBytes bounds a /v1/evaluate body: the decoder reads at
+// most this much, and a longer body is refused with 413 instead of
+// being buffered whole.
+const maxRequestBytes = 1 << 20
+
 // Evaluation modes (Request.Mode and Response.Mode).
 const (
 	ModeAnalytic   = "analytic"
@@ -257,10 +262,15 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	resp, herr := s.evaluate(r.Context(), &req)

@@ -282,6 +282,23 @@ func TestBadRequestsAre400(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a body over maxRequestBytes is refused with
+// 413 even when it is well-formed JSON, and a padded body just under the
+// bound is still answered.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const head, tail = `{"mode":"analytic",`, `"k":10}`
+	pad := func(n int) string { return head + strings.Repeat(" ", n) + tail }
+	resp, _ := post(t, ts, pad(maxRequestBytes))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", maxRequestBytes+len(head)+len(tail), resp.StatusCode)
+	}
+	resp, out := post(t, ts, pad(maxRequestBytes-len(head)-len(tail)))
+	if resp.StatusCode != http.StatusOK || out.K != 10 {
+		t.Errorf("body at the bound: status %d, k %d; want 200, k 10", resp.StatusCode, out.K)
+	}
+}
+
 // TestHealthzAndMetricsSurface: the daemon's operational endpoints ride
 // the shared debug mux alongside /v1/evaluate.
 func TestHealthzAndMetricsSurface(t *testing.T) {
